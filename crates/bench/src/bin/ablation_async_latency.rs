@@ -4,16 +4,14 @@
 //! message overhead unchanged and only stretches the wall-clock completion
 //! time.
 //!
-//! On the default dense engine the overlay is grown once, frozen into CSR
-//! form and the seeded runs of every delay setting fan out across worker
-//! threads (`--threads`), which makes the sweep runnable at 100k+ nodes.
-//! `--engine btree` keeps the original arm: one fresh network per run with
-//! membership gossip running *live* during the dissemination — the pairing
-//! that demonstrates the frozen-overlay equivalence the paper asserts.
+//! The overlay is grown once, frozen into CSR form and the seeded runs of
+//! every delay setting fan out across worker threads (`--threads`), which
+//! makes the sweep runnable at 100k+ nodes. Disseminating over a frozen
+//! overlay stands in for live membership gossip, as the paper argues in
+//! Section 7.1.
 //!
 //! `--ratios 0.1,1,5` overrides the delay/period ratios swept; `--runs` and
-//! `--nodes` control the scale (the btree arm builds one fresh network per
-//! run, so keep its scale modest).
+//! `--nodes` control the scale.
 
 use std::process::ExitCode;
 
@@ -30,23 +28,12 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
-    let mut params = ExperimentParams::from_args(&args)?;
-    // The btree arm rebuilds the network per run; default it to a smaller
-    // sweep than the snapshot-based figures unless overridden. The dense
-    // arm freezes the overlay once, so the quick default scale is fine.
-    if params.engine == hybridcast_bench::EngineKind::Btree {
-        if args.value("nodes").is_none() && !args.flag("paper") {
-            params.nodes = 600;
-        }
-        if args.value("runs").is_none() && !args.flag("paper") {
-            params.runs = 5;
-        }
-    }
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, &["ratios", "json"]])?;
+    let params = ExperimentParams::from_args(&args)?;
     let ratios = args.get_list_or("ratios", vec![0.1f64, 0.5, 1.0, 3.0])?;
     eprintln!(
-        "# ablation: async forwarding delay ratios {:?}, {} nodes, {} runs each, engine {}",
-        ratios, params.nodes, params.runs, params.engine
+        "# ablation: async forwarding delay ratios {:?}, {} nodes, {} runs each",
+        ratios, params.nodes, params.runs
     );
     let rows = figures::latency_ablation(&params, &ratios);
     println!(

@@ -18,7 +18,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, &["extra-cycles", "json"]])?;
     let params = ExperimentParams::from_args(&args)?;
     let extra = args.get_list_or("extra-cycles", vec![0usize, 20, 50])?;
     eprintln!(

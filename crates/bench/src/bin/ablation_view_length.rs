@@ -18,7 +18,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, &["views", "fanout", "json"]])?;
     let params = ExperimentParams::from_args(&args)?;
     let views = args.get_list_or("views", vec![5usize, 10, 20, 40])?;
     let fanout: usize = args.get_or("fanout", 3)?;

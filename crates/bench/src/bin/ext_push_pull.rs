@@ -6,9 +6,8 @@
 //! in rounds and messages. `--fraction 0.05` adds a catastrophic failure
 //! before disseminating.
 //!
-//! Runs on the allocation-free dense pull engine by default, fanning the
-//! seeded runs of each configuration across worker threads (`--threads`);
-//! `--engine btree` selects the original sequential id-keyed engine.
+//! Runs on the allocation-free dense pull engine, fanning the seeded runs
+//! of each configuration across worker threads (`--threads`).
 
 use std::process::ExitCode;
 
@@ -25,18 +24,17 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, &["fraction", "json"]])?;
     let mut params = ExperimentParams::from_args(&args)?;
     if args.value("fanouts").is_none() {
         params.fanouts = vec![1, 2, 3, 4];
     }
     let fraction: f64 = args.get_or("fraction", 0.0)?;
     eprintln!(
-        "# ext: push + pull anti-entropy, {} nodes, {} runs/fanout, failure {:.0}%, engine {}",
+        "# ext: push + pull anti-entropy, {} nodes, {} runs/fanout, failure {:.0}%",
         params.nodes,
         params.runs,
-        fraction * 100.0,
-        params.engine
+        fraction * 100.0
     );
     let rows = figures::push_pull_extension(&params, fraction);
     println!(

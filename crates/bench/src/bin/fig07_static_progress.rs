@@ -17,7 +17,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, &["json"]])?;
     let params = ExperimentParams::from_args(&args)?;
     let fanouts = args.get_list_or("fanouts", vec![2usize, 3, 5, 10])?;
     eprintln!(

@@ -20,7 +20,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, &["json"]])?;
     let params = ExperimentParams::from_args(&args)?;
     eprintln!(
         "# fig08: message overhead, {} nodes, {} runs/fanout, fanouts {:?}",

@@ -17,7 +17,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, &["fractions", "json"]])?;
     let params = ExperimentParams::from_args(&args)?;
     let fractions = args.get_list_or("fractions", vec![0.01f64, 0.02, 0.05, 0.10])?;
     eprintln!(

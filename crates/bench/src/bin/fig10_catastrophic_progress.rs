@@ -17,7 +17,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, &["fraction", "json"]])?;
     let params = ExperimentParams::from_args(&args)?;
     let fraction: f64 = args.get_or("fraction", 0.05)?;
     let fanouts = args.get_list_or("fanouts", vec![2usize, 3, 5, 10])?;

@@ -23,7 +23,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, ProbeOptions::OPTIONS, &["json"]])?;
     let params = ExperimentParams::from_args(&args)?;
     eprintln!(
         "# fig11: churn {}%/cycle, {} nodes, {} runs/fanout",
@@ -31,14 +31,9 @@ fn run() -> Result<(), String> {
         params.nodes,
         params.runs
     );
-    let probing = ProbeOptions::from_args(&args, &params)?;
-    let (table, cycles) = if probing.active() {
-        probing.run_probed(|mut probe, profiler| {
-            figures::churn_effectiveness_probed(&params, &mut probe, profiler)
-        })?
-    } else {
-        figures::churn_effectiveness(&params)
-    };
+    let (table, cycles) = ProbeOptions::from_args(&args).run_probed(|mut probe, profiler| {
+        figures::churn_effectiveness_probed(&params, &mut probe, profiler)
+    })?;
     eprintln!("# churn warm-up took {cycles} cycles");
     print!("{}", output::render_effectiveness(&table));
     if let Some(path) = args.value("json") {

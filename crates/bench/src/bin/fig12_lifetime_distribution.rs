@@ -17,7 +17,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[ExperimentParams::OPTIONS, &["repeats", "json"]])?;
     let params = ExperimentParams::from_args(&args)?;
     let repeats: usize = args.get_or("repeats", 1)?;
     eprintln!(

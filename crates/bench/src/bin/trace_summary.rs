@@ -26,7 +26,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env()?;
+    let args = Args::from_env(&[&["trace", "check"]])?;
     let path = args
         .value("trace")
         .ok_or("usage: trace_summary --trace <events.jsonl> [--check <table.json>]")?;

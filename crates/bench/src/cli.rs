@@ -2,7 +2,9 @@
 //!
 //! All binaries accept the same flag style: `--key value` pairs plus the
 //! boolean flag `--paper` which switches from the quick default scale to the
-//! paper's full scale (10,000 nodes, 100 runs per configuration).
+//! paper's full scale (10,000 nodes, 100 runs per configuration). Each
+//! binary declares the keys it accepts; any other `--key` is an error, so a
+//! typo never silently runs the defaults.
 
 use std::collections::BTreeMap;
 
@@ -44,13 +46,36 @@ impl Args {
         Ok(parsed)
     }
 
-    /// Parses the process arguments (skipping the program name).
+    /// Parses the process arguments (skipping the program name), accepting
+    /// only the keys named in `known`.
     ///
     /// # Errors
     ///
-    /// Returns an error if any argument is malformed.
-    pub fn from_env() -> Result<Self, String> {
-        Self::parse(std::env::args().skip(1))
+    /// Returns an error if any argument is malformed or any key is unknown
+    /// (see [`Args::reject_unknown`]).
+    pub fn from_env(known: &[&[&str]]) -> Result<Self, String> {
+        let args = Self::parse(std::env::args().skip(1))?;
+        args.reject_unknown(known)?;
+        Ok(args)
+    }
+
+    /// Checks every given key, valued or boolean, against the lists in
+    /// `known`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `unknown option --key` for the first key no list names.
+    pub fn reject_unknown(&self, known: &[&[&str]]) -> Result<(), String> {
+        let is_known = |key: &str| known.iter().any(|keys| keys.contains(&key));
+        match self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .find(|key| !is_known(key))
+        {
+            Some(key) => Err(format!("unknown option --{key}")),
+            None => Ok(()),
+        }
     }
 
     /// Returns `true` if the boolean flag `name` was given.
@@ -129,6 +154,25 @@ mod tests {
         assert!(args.get_or("nodes", 1usize).is_err());
         let args = Args::parse(["--fanouts", "1,x"]).unwrap();
         assert!(args.get_list_or("fanouts", Vec::<usize>::new()).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_options() {
+        let known: &[&[&str]] = &[&["nodes", "runs"], &["quiet"]];
+        let good = Args::parse(["--nodes", "500", "--quiet"]).unwrap();
+        assert_eq!(good.reject_unknown(known), Ok(()));
+        let typo = Args::parse(["--node", "500"]).unwrap();
+        assert_eq!(
+            typo.reject_unknown(known),
+            Err("unknown option --node".to_owned())
+        );
+        let retired = Args::parse(["--runs", "3", "--engine", "btree"]).unwrap();
+        assert_eq!(
+            retired.reject_unknown(known),
+            Err("unknown option --engine".to_owned())
+        );
+        let flag = Args::parse(["--profile"]).unwrap();
+        assert!(flag.reject_unknown(known).is_err());
     }
 
     #[test]

@@ -3,32 +3,38 @@
 //! Every function takes [`ExperimentParams`] and returns plain data
 //! structures; the binaries in `src/bin/` only parse arguments, call one of
 //! these functions and print the result with [`crate::output`].
+//!
+//! The sweeps that `--trace`/`--profile` can observe are each one body
+//! generic over a [`Probe`] (the `_probed` functions); their plain names run
+//! that body with [`NullProbe`]. A disabled probe keeps the seeded runs
+//! fanned across `--threads` workers, while a recording probe runs them
+//! sequentially so the trace is one ordered stream. Probes never touch the
+//! seeded RNG streams, so the tables are bit-identical either way.
 
 use std::collections::BTreeMap;
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use hybridcast_core::async_engine::{disseminate_async_frozen, AsyncConfig, AsyncReport};
+use hybridcast_core::async_engine::{AsyncConfig, AsyncReport};
 use hybridcast_core::experiment::{
-    random_origins, run_disseminations, run_seed, run_seeded_async, run_seeded_async_probed,
-    run_seeded_disseminations, run_seeded_disseminations_probed, run_seeded_push_pulls,
-    AggregateStats,
+    run_seed, run_seeded_async, run_seeded_async_probed, run_seeded_disseminations,
+    run_seeded_disseminations_probed, run_seeded_push_pulls, AggregateStats,
 };
 use hybridcast_core::metrics::DisseminationReport;
 use hybridcast_core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
-use hybridcast_core::overlay::{DenseOverlay, Overlay, SnapshotOverlay, StaticOverlay};
-use hybridcast_core::protocols::{DenseSelector, GossipTargetSelector, RingCast};
-use hybridcast_core::pull::PushPullReport;
+use hybridcast_core::overlay::{DenseOverlay, SnapshotOverlay, StaticOverlay};
+use hybridcast_core::protocols::{DenseSelector, GossipTargetSelector};
+use hybridcast_core::pull::{PullConfig, PushPullReport};
 use hybridcast_graph::{builders, harary, NodeId};
-use hybridcast_obs::{Heartbeat, Probe, ProtocolKind, StageProfiler, TraceEvent};
-use hybridcast_sim::{Network, SimConfig};
+use hybridcast_obs::{Heartbeat, NullProbe, Probe, ProtocolKind, StageProfiler, TraceEvent};
+use hybridcast_sim::SimConfig;
 
 use crate::scenario::{
     catastrophic_overlay, churn_dense_overlay_probed, churn_overlay_with_cycles, churn_scenario,
-    dense_overlay, static_dense_overlay, static_dense_overlay_probed, static_overlay, EngineKind,
-    ExperimentParams,
+    dense_overlay, kill_after_freezing, static_dense_overlay, static_dense_overlay_probed,
+    warmed_network, ExperimentParams,
 };
 
 /// The two protocols every figure compares side by side.
@@ -39,35 +45,23 @@ fn protocols(fanout: usize) -> Vec<DenseSelector> {
     ]
 }
 
-/// Runs one experiment configuration (`params.runs` disseminations of
-/// `protocol`) on the engine selected by `params.engine`.
-///
-/// The dense path derives a per-configuration master seed from
-/// `(params.seed, tag)` and fans seeded runs across
-/// [`ExperimentParams::thread_count`] threads — results are identical for
-/// every thread count. The BTree path is the original sequential
-/// shared-RNG walk, kept for speedup measurements (`--engine btree`).
-fn run_reports(
+/// Runs one experiment configuration: `params.runs` disseminations of
+/// `protocol` from the per-configuration master seed `(params.seed, tag)`,
+/// fanned across [`ExperimentParams::thread_count`] threads. Results are
+/// identical for every thread count.
+fn seeded_reports(
     dense: &DenseOverlay,
-    overlay: &dyn Overlay,
     protocol: &DenseSelector,
     params: &ExperimentParams,
     tag: u64,
-    rng: &mut ChaCha8Rng,
 ) -> Vec<DisseminationReport> {
-    match params.engine {
-        EngineKind::Dense => run_seeded_disseminations(
-            dense,
-            protocol,
-            params.runs,
-            run_seed(params.seed, tag),
-            params.thread_count(),
-        ),
-        EngineKind::Btree => {
-            let origins = random_origins(overlay, params.runs, rng);
-            run_disseminations(overlay, protocol, &origins, rng)
-        }
-    }
+    run_seeded_disseminations(
+        dense,
+        protocol,
+        params.runs,
+        run_seed(params.seed, tag),
+        params.thread_count(),
+    )
 }
 
 /// A table of aggregate effectiveness results: one row per
@@ -125,47 +119,91 @@ impl LifetimeHistogram {
 /// Runs the effectiveness sweep (miss ratio, completeness, message counts)
 /// over an already built overlay.
 pub fn effectiveness_over(
-    overlay: &SnapshotOverlay,
+    dense: &DenseOverlay,
     scenario: &str,
     params: &ExperimentParams,
 ) -> EffectivenessTable {
-    let dense = dense_overlay(overlay);
-    effectiveness_with_dense(&dense, overlay, scenario, params)
+    effectiveness_sweep(
+        dense,
+        scenario,
+        params,
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    )
 }
 
-/// Like [`effectiveness_over`], but reuses an already converted dense
-/// overlay (e.g. the zero-round-trip export of the arena runtime).
-fn effectiveness_with_dense(
+/// The effectiveness sweep over an already built dense overlay: one
+/// `Section` event per (fanout, protocol) configuration, then its
+/// `params.runs` seeded disseminations, reduced to one table row.
+fn effectiveness_sweep<P: Probe>(
     dense: &DenseOverlay,
-    overlay: &SnapshotOverlay,
     scenario: &str,
     params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
 ) -> EffectivenessTable {
-    let mut rng = params.dissemination_rng();
+    profiler.stage("dissemination");
+    let configs = (params.fanouts.len() * protocols(3).len()) as u64;
+    let mut heartbeat = Heartbeat::new(configs, "configs", params.quiet);
     let mut rows = Vec::new();
     let mut tag = 0u64;
     for &fanout in &params.fanouts {
         for protocol in protocols(fanout) {
-            let reports = run_reports(dense, overlay, &protocol, params, tag, &mut rng);
+            probe.record(TraceEvent::Section {
+                protocol: protocol_kind(&protocol),
+                fanout: fanout as u32,
+                param: 0.0,
+            });
+            let reports = run_seeded_disseminations_probed(
+                dense,
+                &protocol,
+                params.runs,
+                run_seed(params.seed, tag),
+                params.thread_count(),
+                probe,
+            );
             tag += 1;
             rows.push(AggregateStats::from_reports(
                 protocol.name(),
                 fanout,
                 &reports,
             ));
+            heartbeat.advance(1, "dissemination");
         }
     }
-    EffectivenessTable {
+    profiler.stage("aggregation");
+    let table = EffectivenessTable {
         scenario: scenario.to_owned(),
         rows,
+    };
+    profiler.finish();
+    table
+}
+
+/// Maps a selector to its trace [`ProtocolKind`] (same display name).
+fn protocol_kind(selector: &DenseSelector) -> ProtocolKind {
+    match selector {
+        DenseSelector::Flooding => ProtocolKind::Flooding,
+        DenseSelector::DeterministicFlooding => ProtocolKind::DeterministicFlooding,
+        DenseSelector::RandCast(_) => ProtocolKind::RandCast,
+        DenseSelector::RingCast(_) => ProtocolKind::RingCast,
     }
 }
 
 /// **Figure 6 (and the data of Figure 8)**: dissemination effectiveness as a
 /// function of the fanout in a static failure-free network.
 pub fn static_effectiveness(params: &ExperimentParams) -> EffectivenessTable {
-    let overlay = static_overlay(params);
-    effectiveness_over(&overlay, "static failure-free", params)
+    static_effectiveness_probed(params, &mut NullProbe, &mut StageProfiler::new())
+}
+
+/// [`static_effectiveness`] with a trace probe and stage profiler attached.
+pub fn static_effectiveness_probed<P: Probe>(
+    params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> EffectivenessTable {
+    let dense = static_dense_overlay_probed(params, probe, profiler);
+    effectiveness_sweep(&dense, "static failure-free", params, probe, profiler)
 }
 
 /// Averages the per-hop "not reached yet" series of many disseminations,
@@ -205,17 +243,15 @@ fn average_progress(
 
 /// Per-hop progress over an already built overlay, for the given fanouts.
 pub fn progress_over(
-    overlay: &SnapshotOverlay,
+    dense: &DenseOverlay,
     params: &ExperimentParams,
     fanouts: &[usize],
 ) -> Vec<ProgressSeries> {
-    let dense = dense_overlay(overlay);
-    let mut rng = params.dissemination_rng();
     let mut out = Vec::new();
     let mut tag = 0u64;
     for &fanout in fanouts {
         for protocol in protocols(fanout) {
-            let reports = run_reports(&dense, overlay, &protocol, params, tag, &mut rng);
+            let reports = seeded_reports(dense, &protocol, params, tag);
             tag += 1;
             out.push(average_progress(protocol.name(), fanout, &reports));
         }
@@ -226,8 +262,7 @@ pub fn progress_over(
 /// **Figure 7**: dissemination progress (fraction of nodes not yet reached
 /// per hop) in a static failure-free network, for the paper's four fanouts.
 pub fn static_progress(params: &ExperimentParams, fanouts: &[usize]) -> Vec<ProgressSeries> {
-    let overlay = static_overlay(params);
-    progress_over(&overlay, params, fanouts)
+    progress_over(&static_dense_overlay(params), params, fanouts)
 }
 
 /// **Figure 9**: dissemination effectiveness after catastrophic failures of
@@ -239,9 +274,9 @@ pub fn catastrophic_effectiveness(
     fail_fractions
         .iter()
         .map(|&fraction| {
-            let overlay = catastrophic_overlay(params, fraction);
+            let dense = dense_overlay(&catastrophic_overlay(params, fraction));
             let scenario = format!("catastrophic failure of {:.0}%", fraction * 100.0);
-            (fraction, effectiveness_over(&overlay, &scenario, params))
+            (fraction, effectiveness_over(&dense, &scenario, params))
         })
         .collect()
 }
@@ -253,43 +288,44 @@ pub fn catastrophic_progress(
     fail_fraction: f64,
     fanouts: &[usize],
 ) -> Vec<ProgressSeries> {
-    let overlay = catastrophic_overlay(params, fail_fraction);
-    progress_over(&overlay, params, fanouts)
+    let dense = dense_overlay(&catastrophic_overlay(params, fail_fraction));
+    progress_over(&dense, params, fanouts)
 }
 
 /// **Figure 11**: dissemination effectiveness in churn steady state.
 /// Returns the table plus the number of churn cycles it took to reach
-/// steady state. On the dense engine both the churn warm-up (the dominant
-/// cost) and the dissemination sweep run on the arena/CSR hot paths.
+/// steady state.
 pub fn churn_effectiveness(params: &ExperimentParams) -> (EffectivenessTable, usize) {
-    let (dense, overlay, cycles) = churn_scenario(params);
-    let table = effectiveness_with_dense(
-        &dense,
-        &overlay,
-        &format!(
-            "churn steady state ({}% per cycle, {} cycles)",
-            params.churn_rate * 100.0,
-            cycles
-        ),
-        params,
+    churn_effectiveness_probed(params, &mut NullProbe, &mut StageProfiler::new())
+}
+
+/// [`churn_effectiveness`] with a trace probe and stage profiler attached,
+/// churn `Join`/`Leave` events included.
+pub fn churn_effectiveness_probed<P: Probe>(
+    params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> (EffectivenessTable, usize) {
+    let (dense, cycles) = churn_dense_overlay_probed(params, probe, profiler);
+    let scenario = format!(
+        "churn steady state ({}% per cycle, {} cycles)",
+        params.churn_rate * 100.0,
+        cycles
     );
+    let table = effectiveness_sweep(&dense, &scenario, params, probe, profiler);
     (table, cycles)
 }
 
 /// **Figure 12**: the distribution of node lifetimes in churn steady state,
-/// aggregated over `repeats` independently seeded experiments. On the dense
-/// engine the repeats fan out across `params.thread_count()` workers; the
-/// histogram is identical for every thread count (repeat `r` is a pure
-/// function of `seed + r`).
+/// aggregated over `repeats` independently seeded experiments. The repeats
+/// fan out across `params.thread_count()` workers; the histogram is
+/// identical for every thread count (repeat `r` is a pure function of
+/// `seed + r`).
 pub fn lifetime_distribution(params: &ExperimentParams, repeats: usize) -> LifetimeHistogram {
     let seeds: Vec<u64> = (0..repeats.max(1) as u64)
         .map(|repeat| params.seed.wrapping_add(repeat))
         .collect();
-    let threads = match params.engine {
-        EngineKind::Dense => params.thread_count(),
-        EngineKind::Btree => 1,
-    };
-    let per_repeat = hybridcast_sim::dense::par_map_seeds(&seeds, threads, |seed| {
+    let per_repeat = hybridcast_sim::dense::par_map_seeds(&seeds, params.thread_count(), |seed| {
         let seeded = ExperimentParams {
             seed,
             ..params.clone()
@@ -323,12 +359,11 @@ pub fn miss_lifetimes(
     fanouts: &[usize],
 ) -> Vec<(String, usize, LifetimeHistogram)> {
     let (dense, overlay, _) = churn_scenario(params);
-    let mut rng = params.dissemination_rng();
     let mut out = Vec::new();
     let mut tag = 0u64;
     for &fanout in fanouts {
         for protocol in protocols(fanout) {
-            let reports = run_reports(&dense, &overlay, &protocol, params, tag, &mut rng);
+            let reports = seeded_reports(&dense, &protocol, params, tag);
             tag += 1;
             let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
             for report in &reports {
@@ -403,14 +438,10 @@ fn push_pull_row(
 /// rounds and messages, over a static overlay with a catastrophic failure of
 /// `fail_fraction` (use `0.0` for the failure-free case).
 ///
-/// On the dense engine (the default) each (protocol, fanout) configuration
-/// fans `params.runs` seeded push + pull runs across
-/// [`ExperimentParams::thread_count`] worker threads over the
-/// allocation-free pull engine; `--engine btree` keeps the original
-/// sequential shared-RNG walk.
+/// Each (protocol, fanout) configuration fans `params.runs` seeded push +
+/// pull runs across [`ExperimentParams::thread_count`] worker threads over
+/// the allocation-free pull engine.
 pub fn push_pull_extension(params: &ExperimentParams, fail_fraction: f64) -> Vec<PushPullRow> {
-    use hybridcast_core::pull::{disseminate_push_pull, PullConfig};
-
     let scenario = if fail_fraction > 0.0 {
         format!("after {:.0}% catastrophic failure", fail_fraction * 100.0)
     } else {
@@ -421,57 +452,25 @@ pub fn push_pull_extension(params: &ExperimentParams, fail_fraction: f64) -> Vec
         max_rounds: 50,
         ..PullConfig::default()
     };
-
-    // Each engine builds only the overlay representation it runs over.
+    let dense = if fail_fraction > 0.0 {
+        dense_overlay(&catastrophic_overlay(params, fail_fraction))
+    } else {
+        static_dense_overlay(params)
+    };
     let mut out = Vec::new();
     let mut tag = 0u64;
-    match params.engine {
-        EngineKind::Dense => {
-            let dense = if fail_fraction > 0.0 {
-                dense_overlay(&catastrophic_overlay(params, fail_fraction))
-            } else {
-                static_dense_overlay(params)
-            };
-            for &fanout in &params.fanouts {
-                for protocol in protocols(fanout) {
-                    let reports = run_seeded_push_pulls(
-                        &dense,
-                        &protocol,
-                        &pull_config,
-                        params.runs,
-                        run_seed(params.seed, tag),
-                        params.thread_count(),
-                    );
-                    tag += 1;
-                    out.push(push_pull_row(&protocol, fanout, &scenario, &reports));
-                }
-            }
-        }
-        EngineKind::Btree => {
-            let overlay = if fail_fraction > 0.0 {
-                catastrophic_overlay(params, fail_fraction)
-            } else {
-                static_overlay(params)
-            };
-            let mut rng = params.dissemination_rng();
-            for &fanout in &params.fanouts {
-                for protocol in protocols(fanout) {
-                    let origins = random_origins(&overlay, params.runs, &mut rng);
-                    let reports: Vec<PushPullReport> = origins
-                        .iter()
-                        .map(|&origin| {
-                            disseminate_push_pull(
-                                &overlay,
-                                &protocol,
-                                origin,
-                                &pull_config,
-                                &mut rng,
-                            )
-                        })
-                        .collect();
-                    out.push(push_pull_row(&protocol, fanout, &scenario, &reports));
-                }
-            }
+    for &fanout in &params.fanouts {
+        for protocol in protocols(fanout) {
+            let reports = run_seeded_push_pulls(
+                &dense,
+                &protocol,
+                &pull_config,
+                params.runs,
+                run_seed(params.seed, tag),
+                params.thread_count(),
+            );
+            tag += 1;
+            out.push(push_pull_row(&protocol, fanout, &scenario, &reports));
         }
     }
     out
@@ -484,16 +483,20 @@ pub fn frozen_overlay_ablation(
     params: &ExperimentParams,
     extra_cycles: &[usize],
 ) -> Vec<(usize, EffectivenessTable)> {
-    let mut network = Network::new(params.sim_config(), params.seed);
-    network.run_cycles(params.warmup_cycles);
+    let mut network = warmed_network(
+        params,
+        params.sim_config(),
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    );
     let mut out = Vec::new();
     let mut elapsed = 0usize;
     for &extra in extra_cycles {
         network.run_cycles(extra.saturating_sub(elapsed));
         elapsed = elapsed.max(extra);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
+        let dense = DenseOverlay::from_dense_sim(&network);
         let scenario = format!("frozen {} cycles after warm-up", extra);
-        out.push((extra, effectiveness_over(&overlay, &scenario, params)));
+        out.push((extra, effectiveness_over(&dense, &scenario, params)));
     }
     out
 }
@@ -504,8 +507,6 @@ pub fn frozen_overlay_ablation(
 pub struct LatencyAblationRow {
     /// Forwarding delay as a fraction of the gossip period.
     pub delay_over_period: f64,
-    /// Whether membership gossip kept running during the dissemination.
-    pub live_membership: bool,
     /// Mean hit ratio over the runs.
     pub mean_hit_ratio: f64,
     /// Mean number of dissemination messages per run.
@@ -516,31 +517,6 @@ pub struct LatencyAblationRow {
     pub runs: usize,
 }
 
-/// Reduces one delay setting's [`hybridcast_core::async_engine::AsyncReport`]
-/// aggregates to a result row.
-fn latency_row(
-    ratio: f64,
-    live_membership: bool,
-    runs: usize,
-    hit_sum: f64,
-    msg_sum: f64,
-    completion_sum: f64,
-    completed: usize,
-) -> LatencyAblationRow {
-    LatencyAblationRow {
-        delay_over_period: ratio,
-        live_membership,
-        mean_hit_ratio: hit_sum / runs as f64,
-        mean_messages: msg_sum / runs as f64,
-        mean_completion_time: if completed > 0 {
-            Some(completion_sum / completed as f64)
-        } else {
-            None
-        },
-        runs,
-    }
-}
-
 /// **Section 7.1 ablation (asynchronous)**: the paper claims that varying
 /// the message forwarding time from zero to several gossip periods has no
 /// effect on the macroscopic dissemination behaviour. This experiment
@@ -548,102 +524,55 @@ fn latency_row(
 /// latency-model engine, sweeping the forwarding delay over the given
 /// multiples of the gossip period.
 ///
-/// On the dense engine (the default) the overlay is grown once by the
-/// arena runtime, frozen, exported straight to CSR, and the seeded runs of
-/// every delay setting fan out across [`ExperimentParams::thread_count`]
-/// worker threads over [`hybridcast_core::async_engine::disseminate_async_dense`]
-/// — the frozen-overlay setting whose equivalence to live membership the
-/// paper asserts and the BTree arm demonstrates. `--engine btree` keeps the
-/// original path: one fresh network per run, membership gossip running
-/// *live* during the dissemination.
+/// The overlay is grown once by the arena runtime, frozen, exported
+/// straight to CSR, and the seeded runs of every delay setting fan out
+/// across [`ExperimentParams::thread_count`] worker threads over
+/// [`hybridcast_core::async_engine::disseminate_async_dense`]. That the
+/// frozen overlay stands in for live membership is the paper's Section 7.1
+/// argument, which the core crate's live-vs-frozen test pins.
 pub fn latency_ablation(
     params: &ExperimentParams,
     delay_ratios: &[f64],
 ) -> Vec<LatencyAblationRow> {
-    use hybridcast_core::async_engine::{disseminate_async, AsyncConfig};
-
     let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let async_config = |ratio: f64, live: bool| AsyncConfig {
-        gossip_period: 10.0,
-        forwarding_delay: 10.0 * ratio,
-        jitter: 0.1,
-        run_membership_gossip: live,
-        max_time: 1_000_000.0,
-        ..AsyncConfig::default()
-    };
-
-    if params.engine == EngineKind::Dense {
-        let dense = static_dense_overlay(params);
-        let selector = DenseSelector::ringcast(fanout);
-        return delay_ratios
-            .iter()
-            .enumerate()
-            .map(|(tag, &ratio)| {
-                let reports = run_seeded_async(
-                    &dense,
-                    &selector,
-                    &async_config(ratio, false),
-                    params.runs,
-                    run_seed(params.seed, tag as u64),
-                    params.thread_count(),
-                );
-                let hit_sum = reports.iter().map(|r| r.hit_ratio()).sum();
-                let msg_sum = reports.iter().map(|r| r.messages_sent as f64).sum();
-                let completed: Vec<f64> =
-                    reports.iter().filter_map(|r| r.completion_time).collect();
-                latency_row(
-                    ratio,
-                    false,
-                    params.runs,
-                    hit_sum,
-                    msg_sum,
-                    completed.iter().sum(),
-                    completed.len(),
-                )
-            })
-            .collect();
-    }
-
-    let mut out = Vec::new();
-    for &ratio in delay_ratios {
-        let mut hit_sum = 0.0;
-        let mut msg_sum = 0.0;
-        let mut completion_sum = 0.0;
-        let mut completed = 0usize;
-        for run in 0..params.runs {
-            // Each run gets its own warmed network (the event-driven engine
-            // mutates it), seeded deterministically.
-            let mut network = Network::new(params.sim_config(), params.seed);
-            network.run_cycles(params.warmup_cycles);
-            let origin = network.live_ids()[run % params.nodes];
-            let config = async_config(ratio, true);
-            let mut rng =
-                ChaCha8Rng::seed_from_u64(params.seed ^ (run as u64) ^ ((ratio * 1000.0) as u64));
-            let report = disseminate_async(
-                &mut network,
-                &RingCast::new(fanout),
-                origin,
+    let dense = static_dense_overlay(params);
+    let selector = DenseSelector::ringcast(fanout);
+    delay_ratios
+        .iter()
+        .enumerate()
+        .map(|(tag, &ratio)| {
+            let config = AsyncConfig {
+                gossip_period: 10.0,
+                forwarding_delay: 10.0 * ratio,
+                jitter: 0.1,
+                run_membership_gossip: false,
+                max_time: 1_000_000.0,
+                ..AsyncConfig::default()
+            };
+            let reports = run_seeded_async(
+                &dense,
+                &selector,
                 &config,
-                &mut rng,
+                params.runs,
+                run_seed(params.seed, tag as u64),
+                params.thread_count(),
             );
-            hit_sum += report.hit_ratio();
-            msg_sum += report.messages_sent as f64;
-            if let Some(t) = report.completion_time {
-                completion_sum += t;
-                completed += 1;
+            let hit_sum: f64 = reports.iter().map(AsyncReport::hit_ratio).sum();
+            let msg_sum: f64 = reports.iter().map(|r| r.messages_sent as f64).sum();
+            let completed: Vec<f64> = reports.iter().filter_map(|r| r.completion_time).collect();
+            LatencyAblationRow {
+                delay_over_period: ratio,
+                mean_hit_ratio: hit_sum / params.runs as f64,
+                mean_messages: msg_sum / params.runs as f64,
+                mean_completion_time: if completed.is_empty() {
+                    None
+                } else {
+                    Some(completed.iter().sum::<f64>() / completed.len() as f64)
+                },
+                runs: params.runs,
             }
-        }
-        out.push(latency_row(
-            ratio,
-            true,
-            params.runs,
-            hit_sum,
-            msg_sum,
-            completion_sum,
-            completed,
-        ));
-    }
-    out
+        })
+        .collect()
 }
 
 /// Result row of the adversarial loss sweep: macroscopic dissemination
@@ -685,45 +614,46 @@ pub struct AdversarialPartitionRow {
     pub runs: usize,
 }
 
-/// Runs `params.runs` seeded RingCast disseminations under `config` on the
-/// engine selected by `params.engine`.
-///
-/// The btree arm replays the exact per-run seeding contract of
-/// [`run_seeded_async`] — run `r` draws its origin and streams from
-/// `ChaCha8(run_seed(master_seed, r))` — through the id-keyed BTree engine
-/// over the same frozen overlay, so the two arms return **bit-identical**
-/// report vectors under every adversarial model (the differential the
-/// property suite pins).
-fn run_adversarial_async(
+/// The one body of both adversarial sweeps: grows and freezes the static
+/// overlay, then for each sweep point opens a `Section` (`param` = the
+/// point) and folds `params.runs` seeded RingCast runs under
+/// `config(point)` into `row(point, reports)`.
+fn ringcast_async_sweep<P: Probe, R>(
     params: &ExperimentParams,
-    overlay: &DenseOverlay,
-    fanout: usize,
-    config: &AsyncConfig,
-    master_seed: u64,
-) -> Vec<AsyncReport> {
-    config.validate().expect("adversarial sweep config");
-    match params.engine {
-        EngineKind::Dense => run_seeded_async(
-            overlay,
+    points: &[f64],
+    config: impl Fn(f64) -> AsyncConfig,
+    row: impl Fn(f64, &[AsyncReport]) -> R,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> Vec<R> {
+    let fanout = params.fanouts.first().copied().unwrap_or(3);
+    let overlay = static_dense_overlay_probed(params, probe, profiler);
+    profiler.stage("dissemination");
+    let mut heartbeat = Heartbeat::new(points.len() as u64, "configs", params.quiet);
+    let mut rows = Vec::new();
+    for (tag, &point) in points.iter().enumerate() {
+        let config = config(point);
+        config.validate().expect("adversarial sweep config");
+        probe.record(TraceEvent::Section {
+            protocol: ProtocolKind::RingCast,
+            fanout: fanout as u32,
+            param: point,
+        });
+        let reports = run_seeded_async_probed(
+            &overlay,
             &DenseSelector::ringcast(fanout),
-            config,
+            &config,
             params.runs,
-            master_seed,
+            run_seed(params.seed, tag as u64),
             params.thread_count(),
-        ),
-        EngineKind::Btree => {
-            let live = overlay.live_indices();
-            assert!(!live.is_empty(), "overlay has no live nodes");
-            let selector = RingCast::new(fanout);
-            (0..params.runs)
-                .map(|run| {
-                    let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-                    let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
-                    disseminate_async_frozen(overlay, &selector, origin, config, &mut rng)
-                })
-                .collect()
-        }
+            probe,
+        );
+        rows.push(row(point, &reports));
+        heartbeat.advance(1, "dissemination");
     }
+    profiler.stage("aggregation");
+    profiler.finish();
+    rows
 }
 
 /// **Adversarial extension (loss)**: hit ratio and message overhead of
@@ -738,22 +668,23 @@ pub fn adversarial_loss_sweep(
     params: &ExperimentParams,
     loss_rates: &[f64],
 ) -> Vec<AdversarialLossRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let overlay = static_dense_overlay(params);
-    loss_rates
-        .iter()
-        .enumerate()
-        .map(|(tag, &rate)| {
-            let reports = run_adversarial_async(
-                params,
-                &overlay,
-                fanout,
-                &loss_config(rate),
-                run_seed(params.seed, tag as u64),
-            );
-            loss_row(rate, &reports)
-        })
-        .collect()
+    adversarial_loss_sweep_probed(
+        params,
+        loss_rates,
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    )
+}
+
+/// [`adversarial_loss_sweep`] with a trace probe and stage profiler
+/// attached: each rate opens a `Section` (`param` = loss rate).
+pub fn adversarial_loss_sweep_probed<P: Probe>(
+    params: &ExperimentParams,
+    loss_rates: &[f64],
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> Vec<AdversarialLossRow> {
+    ringcast_async_sweep(params, loss_rates, loss_config, loss_row, probe, profiler)
 }
 
 /// The async configuration of one loss-sweep arm: i.i.d. per-message loss
@@ -773,8 +704,7 @@ fn loss_config(rate: f64) -> AsyncConfig {
     }
 }
 
-/// Folds one loss-sweep arm's reports into its result row. Shared by the
-/// plain and probed sweeps so the two can never aggregate differently.
+/// Folds one loss-sweep arm's reports into its result row.
 fn loss_row(rate: f64, reports: &[AsyncReport]) -> AdversarialLossRow {
     let runs = reports.len();
     let completed: Vec<f64> = reports.iter().filter_map(|r| r.completion_time).collect();
@@ -808,22 +738,34 @@ pub fn adversarial_partition_sweep(
     durations: &[f64],
     start: f64,
 ) -> Vec<AdversarialPartitionRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let overlay = static_dense_overlay(params);
-    durations
-        .iter()
-        .enumerate()
-        .map(|(tag, &duration)| {
-            let reports = run_adversarial_async(
-                params,
-                &overlay,
-                fanout,
-                &partition_config(duration, start),
-                run_seed(params.seed, tag as u64),
-            );
-            partition_row(duration, &reports)
-        })
-        .collect()
+    adversarial_partition_sweep_probed(
+        params,
+        durations,
+        start,
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    )
+}
+
+/// [`adversarial_partition_sweep`] with a trace probe and stage profiler
+/// attached: each duration opens a `Section` (`param` = duration), and the
+/// runs' `PartitionOpen`/`PartitionHeal` events announce the scripted
+/// timeline.
+pub fn adversarial_partition_sweep_probed<P: Probe>(
+    params: &ExperimentParams,
+    durations: &[f64],
+    start: f64,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> Vec<AdversarialPartitionRow> {
+    ringcast_async_sweep(
+        params,
+        durations,
+        |duration| partition_config(duration, start),
+        partition_row,
+        probe,
+        profiler,
+    )
 }
 
 /// The async configuration of one partition-sweep arm: a salt-keyed
@@ -849,8 +791,7 @@ fn partition_config(duration: f64, start: f64) -> AsyncConfig {
     }
 }
 
-/// Folds one partition-sweep arm's reports into its result row. Shared by
-/// the plain and probed sweeps so the two can never aggregate differently.
+/// Folds one partition-sweep arm's reports into its result row.
 fn partition_row(duration: f64, reports: &[AsyncReport]) -> AdversarialPartitionRow {
     let runs = reports.len();
     let recoveries: Vec<f64> = reports
@@ -875,200 +816,6 @@ fn partition_row(duration: f64, reports: &[AsyncReport]) -> AdversarialPartition
     }
 }
 
-// ---------------------------------------------------------------------
-// Probed variants (`--trace` / `--profile`): the same sweeps with a trace
-// probe and a stage profiler attached. Probed runs are dense-only and
-// sequential — one probe, one totally ordered event stream — and produce
-// tables bit-identical to the parallel unprobed sweeps (pinned by the
-// unit tests below), because probes never touch the seeded RNG streams.
-
-/// Maps a selector to its trace [`ProtocolKind`] (same display name).
-fn protocol_kind(selector: &DenseSelector) -> ProtocolKind {
-    match selector {
-        DenseSelector::Flooding => ProtocolKind::Flooding,
-        DenseSelector::DeterministicFlooding => ProtocolKind::DeterministicFlooding,
-        DenseSelector::RandCast(_) => ProtocolKind::RandCast,
-        DenseSelector::RingCast(_) => ProtocolKind::RingCast,
-    }
-}
-
-/// The probed effectiveness sweep over an already built dense overlay:
-/// one `Section` event per (fanout, protocol) configuration, then
-/// `params.runs` seeded probed disseminations, folded with the same
-/// aggregation as [`effectiveness_with_dense`].
-fn effectiveness_dense_probed<P: Probe>(
-    dense: &DenseOverlay,
-    scenario: &str,
-    params: &ExperimentParams,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> EffectivenessTable {
-    profiler.stage("dissemination");
-    let configs = (params.fanouts.len() * protocols(3).len()) as u64;
-    let mut heartbeat = Heartbeat::new(configs, "configs", params.quiet);
-    let mut rows = Vec::new();
-    let mut tag = 0u64;
-    for &fanout in &params.fanouts {
-        for protocol in protocols(fanout) {
-            probe.record(TraceEvent::Section {
-                protocol: protocol_kind(&protocol),
-                fanout: fanout as u32,
-                param: 0.0,
-            });
-            let reports = run_seeded_disseminations_probed(
-                dense,
-                &protocol,
-                params.runs,
-                run_seed(params.seed, tag),
-                probe,
-            );
-            tag += 1;
-            rows.push(AggregateStats::from_reports(
-                protocol.name(),
-                fanout,
-                &reports,
-            ));
-            heartbeat.advance(1, "dissemination");
-        }
-    }
-    profiler.stage("aggregation");
-    let table = EffectivenessTable {
-        scenario: scenario.to_owned(),
-        rows,
-    };
-    profiler.finish();
-    table
-}
-
-/// **Figure 6, probed**: [`static_effectiveness`] with a trace probe and
-/// stage profiler attached. Dense-only; returns the identical table.
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn static_effectiveness_probed<P: Probe>(
-    params: &ExperimentParams,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> EffectivenessTable {
-    let dense = static_dense_overlay_probed(params, probe, profiler);
-    effectiveness_dense_probed(&dense, "static failure-free", params, probe, profiler)
-}
-
-/// **Figure 11, probed**: [`churn_effectiveness`] with a trace probe and
-/// stage profiler attached — churn `Join`/`Leave` events included.
-/// Dense-only; returns the identical table and cycle count.
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn churn_effectiveness_probed<P: Probe>(
-    params: &ExperimentParams,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> (EffectivenessTable, usize) {
-    let (dense, cycles) = churn_dense_overlay_probed(params, probe, profiler);
-    let table = effectiveness_dense_probed(
-        &dense,
-        &format!(
-            "churn steady state ({}% per cycle, {} cycles)",
-            params.churn_rate * 100.0,
-            cycles
-        ),
-        params,
-        probe,
-        profiler,
-    );
-    (table, cycles)
-}
-
-/// **Adversarial loss sweep, probed**: each rate opens a `Section`
-/// (`param` = loss rate) followed by its seeded probed async runs.
-/// Dense-only; returns rows identical to [`adversarial_loss_sweep`].
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn adversarial_loss_sweep_probed<P: Probe>(
-    params: &ExperimentParams,
-    loss_rates: &[f64],
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> Vec<AdversarialLossRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let overlay = static_dense_overlay_probed(params, probe, profiler);
-    profiler.stage("dissemination");
-    let mut heartbeat = Heartbeat::new(loss_rates.len() as u64, "configs", params.quiet);
-    let mut rows = Vec::new();
-    for (tag, &rate) in loss_rates.iter().enumerate() {
-        let config = loss_config(rate);
-        config.validate().expect("adversarial sweep config");
-        probe.record(TraceEvent::Section {
-            protocol: ProtocolKind::RingCast,
-            fanout: fanout as u32,
-            param: rate,
-        });
-        let reports = run_seeded_async_probed(
-            &overlay,
-            &DenseSelector::ringcast(fanout),
-            &config,
-            params.runs,
-            run_seed(params.seed, tag as u64),
-            probe,
-        );
-        rows.push(loss_row(rate, &reports));
-        heartbeat.advance(1, "dissemination");
-    }
-    profiler.stage("aggregation");
-    profiler.finish();
-    rows
-}
-
-/// **Adversarial partition sweep, probed**: each duration opens a
-/// `Section` (`param` = duration) followed by its seeded probed async
-/// runs, whose `PartitionOpen`/`PartitionHeal` events announce the
-/// scripted timeline. Dense-only; rows identical to
-/// [`adversarial_partition_sweep`].
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn adversarial_partition_sweep_probed<P: Probe>(
-    params: &ExperimentParams,
-    durations: &[f64],
-    start: f64,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> Vec<AdversarialPartitionRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let overlay = static_dense_overlay_probed(params, probe, profiler);
-    profiler.stage("dissemination");
-    let mut heartbeat = Heartbeat::new(durations.len() as u64, "configs", params.quiet);
-    let mut rows = Vec::new();
-    for (tag, &duration) in durations.iter().enumerate() {
-        let config = partition_config(duration, start);
-        config.validate().expect("adversarial sweep config");
-        probe.record(TraceEvent::Section {
-            protocol: ProtocolKind::RingCast,
-            fanout: fanout as u32,
-            param: duration,
-        });
-        let reports = run_seeded_async_probed(
-            &overlay,
-            &DenseSelector::ringcast(fanout),
-            &config,
-            params.runs,
-            run_seed(params.seed, tag as u64),
-            probe,
-        );
-        rows.push(partition_row(duration, &reports));
-        heartbeat.advance(1, "dissemination");
-    }
-    profiler.stage("aggregation");
-    profiler.finish();
-    rows
-}
-
 /// **Section 8 ablation**: reliability of different d-link structures under
 /// catastrophic failure — a single ring, multiple independent rings and a
 /// static Harary graph of connectivity 4.
@@ -1088,7 +835,6 @@ pub fn connectivity_ablation(
 ) -> Vec<(String, AggregateStats)> {
     let base_fanout = params.fanouts.first().copied().unwrap_or(2).max(2);
     let mut out = Vec::new();
-    let mut rng = params.dissemination_rng();
 
     // One master-seed tag per arm, incremented in arm order so no two arms
     // ever share a per-run RNG stream however the arm list evolves.
@@ -1097,23 +843,15 @@ pub fn connectivity_ablation(
     // Vicinity-maintained rings: 1, 2 and 3 independent rings (d-degree 2k).
     for rings in [1usize, 2, 3] {
         let config = SimConfig {
-            nodes: params.nodes,
             rings,
-            ..SimConfig::default()
+            ..params.sim_config()
         };
-        let mut network = Network::new(config, params.seed);
-        network.run_cycles(params.warmup_cycles);
+        let network = warmed_network(params, config, &mut NullProbe, &mut StageProfiler::new());
         let mut overlay = SnapshotOverlay::new(network.overlay_snapshot());
-        let mut fail_rng = ChaCha8Rng::seed_from_u64(params.seed.wrapping_add(0xFA11));
-        hybridcast_sim::failure::kill_fraction_in_snapshot(
-            overlay.snapshot_mut(),
-            fail_fraction,
-            &mut fail_rng,
-        );
+        kill_after_freezing(&mut overlay, params, fail_fraction);
         let fanout = base_fanout + 2 * (rings - 1);
         let protocol = DenseSelector::ringcast(fanout);
-        let dense = dense_overlay(&overlay);
-        let reports = run_reports(&dense, &overlay, &protocol, params, tag, &mut rng);
+        let reports = seeded_reports(&dense_overlay(&overlay), &protocol, params, tag);
         tag += 1;
         out.push((
             format!("{rings}-ring RingCast"),
@@ -1139,7 +877,7 @@ pub fn connectivity_ablation(
     let fanout = base_fanout + 2;
     let protocol = DenseSelector::ringcast(fanout);
     let dense = DenseOverlay::from(&overlay);
-    let reports = run_reports(&dense, &overlay, &protocol, params, tag, &mut rng);
+    let reports = seeded_reports(&dense, &protocol, params, tag);
     out.push((
         "static Harary(4) hybrid".to_owned(),
         AggregateStats::from_reports("RingCast/H4", fanout, &reports),
@@ -1155,34 +893,31 @@ pub fn view_length_ablation(
     view_lengths: &[usize],
     fanout: usize,
 ) -> Vec<(usize, EffectivenessTable)> {
-    let mut out = Vec::new();
-    for &view in view_lengths {
-        let config = SimConfig {
-            nodes: params.nodes,
-            cyclon_view: view,
-            vicinity_view: view,
-            ..SimConfig::default()
-        };
-        let mut network = Network::new(config, params.seed);
-        network.run_cycles(params.warmup_cycles);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-        let single = ExperimentParams {
-            fanouts: vec![fanout],
-            ..params.clone()
-        };
-        out.push((
-            view,
-            effectiveness_over(&overlay, &format!("view length {view}"), &single),
-        ));
-    }
-    out
+    let single = ExperimentParams {
+        fanouts: vec![fanout],
+        ..params.clone()
+    };
+    view_lengths
+        .iter()
+        .map(|&view| {
+            let config = SimConfig {
+                cyclon_view: view,
+                vicinity_view: view,
+                ..params.sim_config()
+            };
+            let network = warmed_network(params, config, &mut NullProbe, &mut StageProfiler::new());
+            let dense = DenseOverlay::from_dense_sim(&network);
+            (
+                view,
+                effectiveness_over(&dense, &format!("view length {view}"), &single),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::scenario::EngineKind;
 
     fn tiny() -> ExperimentParams {
         ExperimentParams {
@@ -1193,35 +928,39 @@ mod tests {
             seed: 5,
             churn_rate: 0.02,
             churn_max_cycles: 500,
-            engine: EngineKind::Dense,
             threads: 2,
             rng: hybridcast_sim::RngMode::Shared,
             quiet: true,
         }
     }
 
+    /// The plain side of the probed-vs-unprobed tests: `NullProbe` at four
+    /// worker threads, the production path.
+    fn threaded(params: &ExperimentParams) -> ExperimentParams {
+        ExperimentParams {
+            threads: 4,
+            ..params.clone()
+        }
+    }
+
     #[test]
     fn probed_static_effectiveness_matches_unprobed_bit_for_bit() {
-        use hybridcast_obs::{NullProbe, VecProbe};
+        use hybridcast_obs::VecProbe;
 
         let params = tiny();
-        let plain = static_effectiveness(&params);
-
-        let mut profiler = StageProfiler::new();
-        let probed = static_effectiveness_probed(&params, &mut NullProbe, &mut profiler);
-        assert_eq!(plain, probed, "NullProbe must not perturb the sweep");
-        let names: Vec<&str> = profiler.stages().iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            names,
-            ["overlay build", "warm-up", "dissemination", "aggregation"]
-        );
+        let plain = static_effectiveness(&threaded(&params));
 
         let mut probe = VecProbe::new();
         let mut profiler = StageProfiler::new();
         let traced = static_effectiveness_probed(&params, &mut probe, &mut profiler);
         assert_eq!(
             plain, traced,
-            "a recording probe must not perturb it either"
+            "a recording probe must not perturb the sweep"
+        );
+        let names: Vec<&str> = profiler.stages().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["overlay build", "warm-up", "dissemination", "aggregation"]
         );
         let sections = probe
             .events
@@ -1239,15 +978,23 @@ mod tests {
 
     #[test]
     fn probed_churn_effectiveness_matches_unprobed_bit_for_bit() {
-        use hybridcast_obs::NullProbe;
+        use hybridcast_obs::VecProbe;
 
         let params = tiny();
-        let (plain, plain_cycles) = churn_effectiveness(&params);
+        let (plain, plain_cycles) = churn_effectiveness(&threaded(&params));
+        let mut probe = VecProbe::new();
         let mut profiler = StageProfiler::new();
         let (probed, probed_cycles) =
-            churn_effectiveness_probed(&params, &mut NullProbe, &mut profiler);
+            churn_effectiveness_probed(&params, &mut probe, &mut profiler);
         assert_eq!(plain_cycles, probed_cycles);
         assert_eq!(plain, probed);
+        assert!(
+            probe
+                .events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Join { .. })),
+            "the churn warm-up must be traced"
+        );
     }
 
     #[test]
@@ -1260,7 +1007,7 @@ mod tests {
             ..tiny()
         };
         let rates = [0.0, 0.2];
-        let plain = adversarial_loss_sweep(&params, &rates);
+        let plain = adversarial_loss_sweep(&threaded(&params), &rates);
         let mut probe = VecProbe::new();
         let mut profiler = StageProfiler::new();
         let probed = adversarial_loss_sweep_probed(&params, &rates, &mut probe, &mut profiler);
@@ -1276,7 +1023,7 @@ mod tests {
         assert_eq!(sections, rates);
 
         let durations = [0.0, 3.0];
-        let plain = adversarial_partition_sweep(&params, &durations, 2.0);
+        let plain = adversarial_partition_sweep(&threaded(&params), &durations, 2.0);
         let mut probe = VecProbe::new();
         let mut profiler = StageProfiler::new();
         let probed =
@@ -1302,18 +1049,6 @@ mod tests {
             static_effectiveness(&parallel).rows,
             "thread count must never change experiment data"
         );
-    }
-
-    #[test]
-    fn btree_engine_remains_selectable() {
-        let mut params = tiny();
-        params.engine = EngineKind::Btree;
-        params.fanouts = vec![2];
-        params.runs = 4;
-        let table = static_effectiveness(&params);
-        assert_eq!(table.rows.len(), 2);
-        let ring = table.row("RingCast", 2).unwrap();
-        assert_eq!(ring.complete_fraction, 1.0);
     }
 
     #[test]
@@ -1386,7 +1121,6 @@ mod tests {
         let rows = latency_ablation(&params, &[0.1, 3.0]);
         assert_eq!(rows.len(), 2);
         for row in &rows {
-            assert!(!row.live_membership, "dense runs over a frozen overlay");
             assert_eq!(row.runs, 6);
             assert_eq!(row.mean_hit_ratio, 1.0, "RingCast f=3 completes");
         }
@@ -1400,19 +1134,6 @@ mod tests {
         let mut sequential = params.clone();
         sequential.threads = 1;
         assert_eq!(rows, latency_ablation(&sequential, &[0.1, 3.0]));
-    }
-
-    #[test]
-    fn btree_latency_ablation_remains_selectable() {
-        let mut params = tiny();
-        params.engine = EngineKind::Btree;
-        params.nodes = 120;
-        params.runs = 2;
-        params.fanouts = vec![3];
-        let rows = latency_ablation(&params, &[0.5]);
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].live_membership, "btree arm keeps live gossip");
-        assert_eq!(rows[0].mean_hit_ratio, 1.0);
     }
 
     #[test]
@@ -1434,17 +1155,6 @@ mod tests {
         let mut sequential = params.clone();
         sequential.threads = 1;
         assert_eq!(rows, push_pull_extension(&sequential, 0.0));
-
-        // The BTree arm still runs and shows the same qualitative trend.
-        let mut btree = params.clone();
-        btree.engine = EngineKind::Btree;
-        btree.runs = 4;
-        let btree_rows = push_pull_extension(&btree, 0.0);
-        let btree_rand = btree_rows
-            .iter()
-            .find(|r| r.protocol == "RandCast")
-            .unwrap();
-        assert!(btree_rand.final_miss_ratio <= btree_rand.push_miss_ratio);
     }
 
     #[test]
@@ -1474,6 +1184,37 @@ mod tests {
     }
 
     #[test]
+    fn ablations_honour_the_rng_mode_and_thread_count() {
+        use hybridcast_sim::RngMode;
+
+        let shared = ExperimentParams {
+            fanouts: vec![2],
+            runs: 4,
+            ..tiny()
+        };
+        let per_node = |threads| ExperimentParams {
+            rng: RngMode::PerNode,
+            threads,
+            ..shared.clone()
+        };
+        let frozen = |p: &ExperimentParams| frozen_overlay_ablation(p, &[0, 10]);
+        assert_ne!(
+            frozen(&shared),
+            frozen(&per_node(1)),
+            "--rng per-node ignored"
+        );
+        assert_eq!(frozen(&per_node(1)), frozen(&per_node(3)));
+
+        let connectivity = |p: &ExperimentParams| connectivity_ablation(p, 0.05);
+        assert_ne!(connectivity(&shared), connectivity(&per_node(1)));
+        assert_eq!(connectivity(&per_node(1)), connectivity(&per_node(3)));
+
+        let views = |p: &ExperimentParams| view_length_ablation(p, &[5, 10], 2);
+        assert_ne!(views(&shared), views(&per_node(1)));
+        assert_eq!(views(&per_node(1)), views(&per_node(3)));
+    }
+
+    #[test]
     fn adversarial_loss_sweep_degrades_hit_ratio_and_is_engine_invariant() {
         let mut params = tiny();
         params.fanouts = vec![3];
@@ -1498,17 +1239,10 @@ mod tests {
         );
         assert!(rows[2].mean_hit_ratio < rows[0].mean_hit_ratio);
 
-        // Thread-count invariance and dense/btree bit-identity.
+        // Thread-count invariance.
         let mut sequential = params.clone();
         sequential.threads = 1;
         assert_eq!(rows, adversarial_loss_sweep(&sequential, &rates));
-        let mut btree = params.clone();
-        btree.engine = EngineKind::Btree;
-        assert_eq!(
-            rows,
-            adversarial_loss_sweep(&btree, &rates),
-            "the btree arm must replay the dense arm bit-for-bit"
-        );
     }
 
     #[test]
@@ -1534,12 +1268,11 @@ mod tests {
         // but the late heavy-tail deliveries carry most runs across.
         assert!(rows[1].mean_hit_ratio > 0.9, "heal mostly recovers");
 
-        let mut btree = params.clone();
-        btree.engine = EngineKind::Btree;
+        let mut sequential = params.clone();
+        sequential.threads = 1;
         assert_eq!(
             rows,
-            adversarial_partition_sweep(&btree, &durations, 2.0),
-            "the btree arm must replay the dense arm bit-for-bit"
+            adversarial_partition_sweep(&sequential, &durations, 2.0)
         );
     }
 }

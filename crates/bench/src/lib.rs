@@ -52,4 +52,4 @@ pub mod scenario;
 pub mod trace;
 
 pub use cli::Args;
-pub use scenario::{EngineKind, ExperimentParams};
+pub use scenario::ExperimentParams;

@@ -1,11 +1,11 @@
 //! `--trace` / `--profile` plumbing shared by the probed figure binaries.
 //!
-//! The figure functions come in pairs — a plain sweep and a `_probed`
-//! twin that takes a [`Probe`] and a [`StageProfiler`] and returns the
-//! identical table. This module turns the two flags into that probe: no
-//! flags means the binary calls the plain (parallel) sweep, `--profile`
-//! attaches a [`NullProbe`] just to get stage timings, and
-//! `--trace <path>` streams the full event record as JSON Lines.
+//! Each traceable sweep is one body generic over a [`Probe`] that takes a
+//! [`StageProfiler`] too. This module turns the two flags into that probe:
+//! without `--trace` the sweep gets a [`NullProbe`], which keeps the seeded
+//! runs on the threaded production path, and `--trace <path>` streams the
+//! full event record as JSON Lines from a sequential run. `--profile`
+//! renders the stage timings either way.
 //!
 //! Binaries run probes through `&mut dyn Probe`: one JSONL writer is not
 //! a hot path, and dynamic dispatch here keeps the binaries from
@@ -18,7 +18,6 @@ use std::io::BufWriter;
 use hybridcast_obs::{JsonlProbe, NullProbe, Probe, StageProfiler};
 
 use crate::cli::Args;
-use crate::scenario::{EngineKind, ExperimentParams};
 
 /// The observability options of a figure binary.
 #[derive(Debug)]
@@ -30,32 +29,15 @@ pub struct ProbeOptions {
 }
 
 impl ProbeOptions {
-    /// Parses `--trace <path>` and `--profile`, rejecting combinations
-    /// the probed sweeps cannot serve.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either flag is combined with `--engine btree`:
-    /// the probe hooks ride the dense engines, and the BTree engine's role
-    /// is to differentially verify them, not to replace them.
-    pub fn from_args(args: &Args, params: &ExperimentParams) -> Result<Self, String> {
-        let options = ProbeOptions {
+    /// The command-line keys [`ProbeOptions::from_args`] reads.
+    pub const OPTIONS: &'static [&'static str] = &["trace", "profile"];
+
+    /// Parses `--trace <path>` and `--profile`.
+    pub fn from_args(args: &Args) -> Self {
+        ProbeOptions {
             trace: args.value("trace").map(str::to_owned),
             profile: args.flag("profile"),
-        };
-        if options.active() && params.engine != EngineKind::Dense {
-            return Err(
-                "--trace/--profile require --engine dense (probes hook the dense engines)"
-                    .to_owned(),
-            );
         }
-        Ok(options)
-    }
-
-    /// `true` if the binary should call the probed sweep at all.
-    #[must_use]
-    pub fn active(&self) -> bool {
-        self.trace.is_some() || self.profile
     }
 
     /// Runs `f` with the configured probe and profiler, finalizes the
@@ -92,28 +74,22 @@ impl ProbeOptions {
 mod tests {
     use super::*;
 
-    fn dense_params() -> ExperimentParams {
-        ExperimentParams::quick()
-    }
-
     #[test]
     fn flags_parse_and_btree_is_rejected() {
         let args = Args::parse(["--trace", "/tmp/t.jsonl", "--profile"]).unwrap();
-        let options = ProbeOptions::from_args(&args, &dense_params()).unwrap();
-        assert!(options.active());
+        let options = ProbeOptions::from_args(&args);
+        assert!(options.profile);
         assert_eq!(options.trace.as_deref(), Some("/tmp/t.jsonl"));
 
-        let none = ProbeOptions::from_args(&Args::parse([] as [&str; 0]).unwrap(), &dense_params())
-            .unwrap();
-        assert!(!none.active());
+        let none = ProbeOptions::from_args(&Args::parse([] as [&str; 0]).unwrap());
+        assert!(none.trace.is_none() && !none.profile);
 
-        let btree = ExperimentParams {
-            engine: EngineKind::Btree,
-            ..dense_params()
-        };
-        assert!(ProbeOptions::from_args(&args, &btree).is_err());
-        let inactive = Args::parse([] as [&str; 0]).unwrap();
-        assert!(ProbeOptions::from_args(&inactive, &btree).is_ok());
+        // Traces hook the dense engines, the only ones the binaries run.
+        let btree = Args::parse(["--trace", "/tmp/t.jsonl", "--engine", "btree"]).unwrap();
+        assert_eq!(
+            btree.reject_unknown(&[ProbeOptions::OPTIONS]),
+            Err("unknown option --engine".to_owned())
+        );
     }
 
     #[test]

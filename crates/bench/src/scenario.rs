@@ -1,61 +1,16 @@
 //! Builders for the three evaluation scenarios of Section 7.
 
-use std::fmt;
-use std::str::FromStr;
-
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use hybridcast_core::overlay::{DenseOverlay, SnapshotOverlay};
-use hybridcast_obs::{Heartbeat, Probe, StageProfiler};
+use hybridcast_obs::{Heartbeat, NullProbe, Probe, StageProfiler};
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast_sim::failure::kill_fraction_in_snapshot;
-use hybridcast_sim::{
-    DenseSimNetwork, GossipRuntime, Network, OverlaySnapshot, RngMode, SimConfig,
-};
+use hybridcast_sim::{DenseSimNetwork, RngMode, SimConfig};
 
 use crate::cli::Args;
-
-/// Which engine an experiment runs on — covering **both phases** of every
-/// figure: the membership simulation that grows (and churns) the overlay,
-/// and the dissemination sweep over the frozen result.
-///
-/// The dense engine is the default: the overlay is grown by the arena-based
-/// [`DenseSimNetwork`] epoch runtime, frozen, converted to a
-/// [`DenseOverlay`] once, and seeded dissemination runs are fanned across
-/// threads. The BTree engine is the original id-keyed sequential path, kept
-/// selectable (`--engine btree`) so the speedup can be measured on any
-/// machine. The two engines are bit-identical per seed in both phases, so
-/// the flag changes wall-clock time, never data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EngineKind {
-    /// Allocation-free CSR engine, parallel seeded runs (the default).
-    Dense,
-    /// Original `BTreeMap`/`BTreeSet` engine, sequential shared-RNG runs.
-    Btree,
-}
-
-impl FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(EngineKind::Dense),
-            "btree" => Ok(EngineKind::Btree),
-            other => Err(format!("unknown engine '{other}', expected dense|btree")),
-        }
-    }
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            EngineKind::Dense => "dense",
-            EngineKind::Btree => "btree",
-        })
-    }
-}
 
 /// Common parameters of every experiment, derived from the command line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,9 +31,7 @@ pub struct ExperimentParams {
     /// Upper bound on churn warm-up cycles (the paper runs until every
     /// bootstrap node has been replaced, which the quick scale caps).
     pub churn_max_cycles: usize,
-    /// Which dissemination engine to run (`--engine dense|btree`).
-    pub engine: EngineKind,
-    /// Worker threads for the dense engine's seeded runs — and, in
+    /// Worker threads for the seeded dissemination runs — and, in
     /// `--rng per-node` mode, for the membership simulation's intra-cycle
     /// fan-out; 0 means "use the machine's available parallelism". Results
     /// are identical for every value (`--threads`).
@@ -87,7 +40,7 @@ pub struct ExperimentParams {
     /// `shared` (the default) steps one shared stream in stepping order and
     /// is bit-identical to the BTree oracle; `per-node` derives one
     /// counter-based stream per node and cycle, which unlocks the sparse
-    /// frontier and intra-cycle threading. Dense engine only.
+    /// frontier and intra-cycle threading.
     pub rng: RngMode,
     /// Silence the progress heartbeat on stderr (`--quiet`). Progress is
     /// still counted in the metrics registry either way; the flag only
@@ -96,6 +49,21 @@ pub struct ExperimentParams {
 }
 
 impl ExperimentParams {
+    /// The command-line keys [`ExperimentParams::from_args`] reads.
+    pub const OPTIONS: &'static [&'static str] = &[
+        "paper",
+        "nodes",
+        "runs",
+        "warmup",
+        "fanouts",
+        "seed",
+        "churn-rate",
+        "churn-max-cycles",
+        "threads",
+        "rng",
+        "quiet",
+    ];
+
     /// The paper's full experimental scale: 10,000 nodes, 100 runs per
     /// configuration, fanouts 1–20.
     pub fn paper() -> Self {
@@ -107,7 +75,6 @@ impl ExperimentParams {
             seed: 1,
             churn_rate: 0.002,
             churn_max_cycles: 20_000,
-            engine: EngineKind::Dense,
             threads: 0,
             rng: RngMode::Shared,
             quiet: false,
@@ -125,7 +92,6 @@ impl ExperimentParams {
             seed: 1,
             churn_rate: 0.002,
             churn_max_cycles: 3_000,
-            engine: EngineKind::Dense,
             threads: 0,
             rng: RngMode::Shared,
             quiet: false,
@@ -134,23 +100,20 @@ impl ExperimentParams {
 
     /// Builds parameters from command-line arguments: `--paper` selects the
     /// full scale, and `--nodes`, `--runs`, `--warmup`, `--fanouts`,
-    /// `--seed`, `--churn-rate`, `--churn-max-cycles`, `--engine`,
-    /// `--threads`, `--rng` override individual fields; `--quiet` silences
-    /// the progress heartbeat.
+    /// `--seed`, `--churn-rate`, `--churn-max-cycles`, `--threads`, `--rng`
+    /// override individual fields; `--quiet` silences the progress
+    /// heartbeat.
     ///
     /// # Errors
     ///
-    /// Returns an error if any override fails to parse, or if
-    /// `--rng per-node` is combined with `--engine btree` (the per-node
-    /// stream kernel lives in the arena runtime only; the BTree oracle is
-    /// shared-stream by definition).
+    /// Returns an error if any override fails to parse.
     pub fn from_args(args: &Args) -> Result<Self, String> {
         let base = if args.flag("paper") {
             Self::paper()
         } else {
             Self::quick()
         };
-        let params = ExperimentParams {
+        Ok(ExperimentParams {
             nodes: args.get_or("nodes", base.nodes)?,
             runs: args.get_or("runs", base.runs)?,
             warmup_cycles: args.get_or("warmup", base.warmup_cycles)?,
@@ -158,17 +121,10 @@ impl ExperimentParams {
             seed: args.get_or("seed", base.seed)?,
             churn_rate: args.get_or("churn-rate", base.churn_rate)?,
             churn_max_cycles: args.get_or("churn-max-cycles", base.churn_max_cycles)?,
-            engine: args.get_or("engine", base.engine)?,
             threads: args.get_or("threads", base.threads)?,
             rng: args.get_or("rng", base.rng)?,
             quiet: args.flag("quiet"),
-        };
-        if params.rng == RngMode::PerNode && params.engine == EngineKind::Btree {
-            return Err(String::from(
-                "--rng per-node requires --engine dense (the BTree oracle is shared-stream only)",
-            ));
-        }
-        Ok(params)
+        })
     }
 
     /// The number of dissemination worker threads to use: the `--threads`
@@ -190,45 +146,17 @@ impl ExperimentParams {
         }
     }
 
-    /// A deterministic RNG for dissemination-time randomness, derived from
-    /// the master seed.
-    pub fn dissemination_rng(&self) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(17))
-    }
-
-    /// Builds the arena membership runtime in the RNG mode these parameters
-    /// select: the shared-stream runtime, or the per-node frontier runtime
-    /// at gossip period 1 (every node steps every cycle — the same cadence
-    /// the shared runtime and the BTree oracle use) with the `--threads`
-    /// worker count.
-    pub fn dense_network(&self) -> DenseSimNetwork {
+    /// Builds the arena membership runtime for `config` in the RNG mode
+    /// these parameters select: the shared-stream runtime, or the per-node
+    /// frontier runtime at gossip period 1 (every node steps every cycle,
+    /// the same cadence as the shared runtime) with the `--threads` worker
+    /// count.
+    pub fn dense_network(&self, config: SimConfig) -> DenseSimNetwork {
         match self.rng {
-            RngMode::Shared => DenseSimNetwork::new(self.sim_config(), self.seed),
+            RngMode::Shared => DenseSimNetwork::new(config, self.seed),
             RngMode::PerNode => {
-                DenseSimNetwork::new_per_node(self.sim_config(), self.seed, 1, self.thread_count())
+                DenseSimNetwork::new_per_node(config, self.seed, 1, self.thread_count())
             }
-        }
-    }
-}
-
-/// Runs the membership phase on the engine selected by `params.engine` and
-/// returns `f` applied to the warmed runtime. Both runtimes are
-/// bit-identical per seed, so the engine choice never changes the result.
-fn with_warmed_runtime<T>(
-    params: &ExperimentParams,
-    warm: impl Fn(&mut dyn GossipRuntime) -> usize,
-    f: impl Fn(&dyn GossipRuntime, usize) -> T,
-) -> T {
-    match params.engine {
-        EngineKind::Dense => {
-            let mut network = params.dense_network();
-            let cycles = warm(&mut network);
-            f(&network, cycles)
-        }
-        EngineKind::Btree => {
-            let mut network = Network::new(params.sim_config(), params.seed);
-            let cycles = warm(&mut network);
-            f(&network, cycles)
         }
     }
 }
@@ -238,159 +166,18 @@ fn with_warmed_runtime<T>(
 /// heartbeat can never perturb a result.
 const WARMUP_HEARTBEAT_CHUNK: usize = 25;
 
-/// Runs `cycles` warm-up gossip cycles in heartbeat-sized chunks, reporting
-/// rate-limited progress on stderr (silenced by `quiet`).
-fn warm_with_heartbeat<N: GossipRuntime + ?Sized>(network: &mut N, cycles: usize, quiet: bool) {
-    let mut heartbeat = Heartbeat::new(cycles as u64, "cycles", quiet);
-    let mut done = 0usize;
-    while done < cycles {
-        let step = (cycles - done).min(WARMUP_HEARTBEAT_CHUNK);
-        network.run_cycles(step);
-        done += step;
-        heartbeat.advance(step as u64, "warm-up");
-    }
-}
-
-/// Scenario 1 (Section 7.1): a static failure-free overlay, warmed up for
-/// `warmup_cycles` and frozen. The membership phase runs on the engine
-/// selected by `params.engine` (identical overlays either way).
-pub fn static_overlay(params: &ExperimentParams) -> SnapshotOverlay {
-    with_warmed_runtime(
-        params,
-        |network| {
-            warm_with_heartbeat(network, params.warmup_cycles, params.quiet);
-            params.warmup_cycles
-        },
-        |network, _| SnapshotOverlay::new(network.overlay_snapshot()),
-    )
-}
-
-/// The static scenario frozen straight into the dense engine input: the
-/// overlay is grown by the selected runtime and — on the dense engine —
-/// exported to a [`DenseOverlay`] via the arena runtime's flat CSR links,
-/// with no id-keyed snapshot round-trip (at 100k nodes the unused snapshot
-/// would cost seconds and O(n) transient memory). Consumers that also need
-/// the id-keyed view (origin bookkeeping, oracle runs) use
-/// [`static_overlay`] instead.
-pub fn static_dense_overlay(params: &ExperimentParams) -> DenseOverlay {
-    match params.engine {
-        EngineKind::Dense => {
-            let mut network = params.dense_network();
-            warm_with_heartbeat(&mut network, params.warmup_cycles, params.quiet);
-            DenseOverlay::from_dense_sim(&network)
-        }
-        EngineKind::Btree => dense_overlay(&static_overlay(params)),
-    }
-}
-
-/// Scenario 2 (Section 7.2): the static overlay of scenario 1 in which a
-/// random `fail_fraction` of the nodes is killed *after* freezing, so the
-/// overlay gets no chance to heal (the paper's worst case).
-pub fn catastrophic_overlay(params: &ExperimentParams, fail_fraction: f64) -> SnapshotOverlay {
-    let mut overlay = static_overlay(params);
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed.wrapping_add(0xFA11));
-    kill_fraction_in_snapshot(overlay.snapshot_mut(), fail_fraction, &mut rng);
-    overlay
-}
-
-/// Scenario 3 (Section 7.3): gossip under continuous artificial churn until
-/// every bootstrap node has been replaced at least once (capped at
-/// `churn_max_cycles`), then freeze. Returns the frozen overlay; node
-/// lifetimes are available through the snapshot.
-pub fn churn_overlay(params: &ExperimentParams) -> SnapshotOverlay {
-    let (overlay, _cycles) = churn_overlay_with_cycles(params);
-    overlay
-}
-
-/// Converts a frozen overlay to the dense CSR layout the allocation-free
-/// engine runs over. One conversion serves every (protocol, fanout)
-/// configuration of an experiment.
-pub fn dense_overlay(overlay: &SnapshotOverlay) -> DenseOverlay {
-    DenseOverlay::from(overlay)
-}
-
-/// The paper's churn warm-up on either runtime: gossip under churn until
-/// every bootstrap node has been replaced (capped at
-/// `params.churn_max_cycles`). The single definition keeps the dense and
-/// BTree paths running the identical protocol.
-///
-/// The loop mirrors [`ChurnDriver::run_until_all_replaced`] cycle for
-/// cycle; it is inlined here only so a progress heartbeat can tick between
-/// cycles (churn warm-up dominates the wall-clock of the churn figures).
-fn run_churn_warmup<N: GossipRuntime + ?Sized>(
+/// Scenario 1's membership phase, the one body behind every static
+/// overlay: builds the arena runtime for `config` and runs
+/// `params.warmup_cycles` gossip cycles with `probe` attached, recording
+/// the "overlay build" and "warm-up" stages on `profiler`.
+pub(crate) fn warmed_network<P: Probe>(
     params: &ExperimentParams,
-    network: &mut N,
-) -> usize {
-    let mut driver = ChurnDriver::new(ChurnConfig {
-        rate: params.churn_rate,
-    });
-    let initial: Vec<_> = network.live_ids();
-    let mut heartbeat = Heartbeat::new(params.churn_max_cycles as u64, "cycles", params.quiet);
-    let mut executed = 0usize;
-    while executed < params.churn_max_cycles {
-        driver.apply_churn_step(network);
-        network.run_cycles(1);
-        executed += 1;
-        heartbeat.advance(1, "churn warm-up");
-        if initial.iter().all(|&id| !network.is_live(id)) {
-            break;
-        }
-    }
-    executed
-}
-
-/// Like [`churn_overlay`] but also reports how many churn cycles were run.
-/// The churn warm-up — by far the dominant cost of the churn figures —
-/// runs on the engine selected by `params.engine`.
-pub fn churn_overlay_with_cycles(params: &ExperimentParams) -> (SnapshotOverlay, usize) {
-    with_warmed_runtime(
-        params,
-        |network| run_churn_warmup(params, network),
-        |network, cycles| (SnapshotOverlay::new(network.overlay_snapshot()), cycles),
-    )
-}
-
-/// The churn scenario frozen straight into the dense engine input: the
-/// overlay is grown by the selected runtime and — on the dense engine —
-/// exported to a [`DenseOverlay`] without the id-keyed snapshot round-trip.
-/// Returns the dense overlay, the id-keyed snapshot (figures 12/13 need its
-/// lifetimes) and the churn cycle count.
-pub fn churn_scenario(params: &ExperimentParams) -> (DenseOverlay, SnapshotOverlay, usize) {
-    match params.engine {
-        EngineKind::Dense => {
-            let mut network = params.dense_network();
-            let cycles = run_churn_warmup(params, &mut network);
-            let dense = DenseOverlay::from_dense_sim(&network);
-            let snapshot: OverlaySnapshot = network.overlay_snapshot();
-            (dense, SnapshotOverlay::new(snapshot), cycles)
-        }
-        EngineKind::Btree => {
-            let (overlay, cycles) = churn_overlay_with_cycles(params);
-            (dense_overlay(&overlay), overlay, cycles)
-        }
-    }
-}
-
-/// [`static_dense_overlay`] with a [`Probe`] attached to the membership
-/// phase and the "overlay build" / "warm-up" stages recorded on
-/// `profiler`. Probed runs are dense-only: the probe hooks live on the
-/// arena runtime, and the BTree runtime serves as its oracle in tests.
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn static_dense_overlay_probed<P: Probe>(
-    params: &ExperimentParams,
+    config: SimConfig,
     probe: &mut P,
     profiler: &mut StageProfiler,
-) -> DenseOverlay {
-    assert_eq!(
-        params.engine,
-        EngineKind::Dense,
-        "probed runs require the dense engine"
-    );
+) -> DenseSimNetwork {
     profiler.stage("overlay build");
-    let mut network = params.dense_network();
+    let mut network = params.dense_network(config);
     profiler.stage("warm-up");
     let mut heartbeat = Heartbeat::new(params.warmup_cycles as u64, "cycles", params.quiet);
     let mut done = 0usize;
@@ -400,30 +187,87 @@ pub fn static_dense_overlay_probed<P: Probe>(
         done += step;
         heartbeat.advance(step as u64, "warm-up");
     }
-    DenseOverlay::from_dense_sim(&network)
+    network
 }
 
-/// The churn scenario with a [`Probe`] attached: every churn `Join`/`Leave`
-/// and every membership `ViewExchange`/`CycleEnd` of the warm-up lands in
-/// the probe, and the "overlay build" / "warm-up" stages are recorded on
-/// `profiler`. Returns the dense overlay and the churn cycle count —
-/// identical to [`churn_scenario`] for the same parameters.
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn churn_dense_overlay_probed<P: Probe>(
+/// Scenario 1 (Section 7.1): a static failure-free overlay, warmed up for
+/// `warmup_cycles` and frozen.
+pub fn static_overlay(params: &ExperimentParams) -> SnapshotOverlay {
+    let network = warmed_network(
+        params,
+        params.sim_config(),
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    );
+    SnapshotOverlay::new(network.overlay_snapshot())
+}
+
+/// The static scenario frozen straight into the dense engine input via the
+/// arena runtime's flat CSR links, with no id-keyed snapshot round-trip (at
+/// 100k nodes the unused snapshot would cost seconds and O(n) transient
+/// memory). Consumers that also need the id-keyed view use
+/// [`static_overlay`] instead.
+pub fn static_dense_overlay(params: &ExperimentParams) -> DenseOverlay {
+    static_dense_overlay_probed(params, &mut NullProbe, &mut StageProfiler::new())
+}
+
+/// [`static_dense_overlay`] with a [`Probe`] attached to the membership
+/// phase and its stages recorded on `profiler`.
+pub fn static_dense_overlay_probed<P: Probe>(
     params: &ExperimentParams,
     probe: &mut P,
     profiler: &mut StageProfiler,
-) -> (DenseOverlay, usize) {
-    assert_eq!(
-        params.engine,
-        EngineKind::Dense,
-        "probed runs require the dense engine"
-    );
+) -> DenseOverlay {
+    DenseOverlay::from_dense_sim(&warmed_network(
+        params,
+        params.sim_config(),
+        probe,
+        profiler,
+    ))
+}
+
+/// Scenario 2 (Section 7.2): the static overlay of scenario 1 in which a
+/// random `fail_fraction` of the nodes is killed *after* freezing, so the
+/// overlay gets no chance to heal (the paper's worst case).
+pub fn catastrophic_overlay(params: &ExperimentParams, fail_fraction: f64) -> SnapshotOverlay {
+    let mut overlay = static_overlay(params);
+    kill_after_freezing(&mut overlay, params, fail_fraction);
+    overlay
+}
+
+/// Kills the seeded `fail_fraction` of a frozen overlay's nodes.
+pub(crate) fn kill_after_freezing(
+    overlay: &mut SnapshotOverlay,
+    params: &ExperimentParams,
+    fail_fraction: f64,
+) {
+    let mut rng = ChaCha8Rng::seed_from_u64(params.seed.wrapping_add(0xFA11));
+    kill_fraction_in_snapshot(overlay.snapshot_mut(), fail_fraction, &mut rng);
+}
+
+/// Converts a frozen overlay to the dense CSR layout the allocation-free
+/// engine runs over. One conversion serves every (protocol, fanout)
+/// configuration of an experiment.
+pub fn dense_overlay(overlay: &SnapshotOverlay) -> DenseOverlay {
+    DenseOverlay::from(overlay)
+}
+
+/// Scenario 3's membership phase, the one body behind every churn figure:
+/// gossip under continuous artificial churn until every bootstrap node has
+/// been replaced at least once (capped at `params.churn_max_cycles`), with
+/// every churn `Join`/`Leave` and membership event landing in `probe`.
+/// Returns the churned runtime and the number of churn cycles run.
+///
+/// The loop mirrors [`ChurnDriver::run_until_all_replaced`] cycle for
+/// cycle; it is inlined here only so a progress heartbeat can tick between
+/// cycles (churn warm-up dominates the wall-clock of the churn figures).
+fn churned_network<P: Probe>(
+    params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> (DenseSimNetwork, usize) {
     profiler.stage("overlay build");
-    let mut network = params.dense_network();
+    let mut network = params.dense_network(params.sim_config());
     profiler.stage("warm-up");
     let mut driver = ChurnDriver::new(ChurnConfig {
         rate: params.churn_rate,
@@ -440,7 +284,40 @@ pub fn churn_dense_overlay_probed<P: Probe>(
             break;
         }
     }
-    (DenseOverlay::from_dense_sim(&network), executed)
+    (network, executed)
+}
+
+/// Scenario 3 (Section 7.3): the overlay frozen in churn steady state, plus
+/// the number of churn cycles it took; node lifetimes are available through
+/// the snapshot.
+pub fn churn_overlay_with_cycles(params: &ExperimentParams) -> (SnapshotOverlay, usize) {
+    let (network, cycles) = churned_network(params, &mut NullProbe, &mut StageProfiler::new());
+    (SnapshotOverlay::new(network.overlay_snapshot()), cycles)
+}
+
+/// The churn scenario frozen both into the dense engine input and into the
+/// id-keyed snapshot (figure 13 needs its lifetimes), plus the churn cycle
+/// count.
+pub fn churn_scenario(params: &ExperimentParams) -> (DenseOverlay, SnapshotOverlay, usize) {
+    let (network, cycles) = churned_network(params, &mut NullProbe, &mut StageProfiler::new());
+    let dense = DenseOverlay::from_dense_sim(&network);
+    (
+        dense,
+        SnapshotOverlay::new(network.overlay_snapshot()),
+        cycles,
+    )
+}
+
+/// The churn scenario frozen straight into the dense engine input, with a
+/// [`Probe`] attached to the warm-up and its stages recorded on `profiler`.
+/// Returns the dense overlay and the churn cycle count.
+pub fn churn_dense_overlay_probed<P: Probe>(
+    params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> (DenseOverlay, usize) {
+    let (network, cycles) = churned_network(params, probe, profiler);
+    (DenseOverlay::from_dense_sim(&network), cycles)
 }
 
 #[cfg(test)]
@@ -457,7 +334,6 @@ mod tests {
             seed: 3,
             churn_rate: 0.02,
             churn_max_cycles: 400,
-            engine: EngineKind::Dense,
             threads: 2,
             rng: RngMode::Shared,
             quiet: true,
@@ -482,24 +358,53 @@ mod tests {
 
         let paper = Args::parse(["--paper"]).unwrap();
         assert_eq!(ExperimentParams::from_args(&paper).unwrap().nodes, 10_000);
+
+        let every_key = Args::parse([
+            "--paper",
+            "--nodes",
+            "1",
+            "--runs",
+            "1",
+            "--warmup",
+            "1",
+            "--fanouts",
+            "1",
+            "--seed",
+            "1",
+            "--churn-rate",
+            "0",
+            "--churn-max-cycles",
+            "1",
+            "--threads",
+            "1",
+            "--rng",
+            "shared",
+            "--quiet",
+        ])
+        .unwrap();
+        assert_eq!(
+            every_key.reject_unknown(&[ExperimentParams::OPTIONS]),
+            Ok(())
+        );
     }
 
     #[test]
     fn engine_and_threads_parse_from_args() {
-        let args = Args::parse(["--engine", "btree", "--threads", "3"]).unwrap();
+        let args = Args::parse(["--threads", "3"]).unwrap();
         let params = ExperimentParams::from_args(&args).unwrap();
-        assert_eq!(params.engine, EngineKind::Btree);
         assert_eq!(params.threads, 3);
         assert_eq!(params.thread_count(), 3);
+        assert!(
+            ExperimentParams::quick().thread_count() >= 1,
+            "auto thread count"
+        );
 
-        let auto = ExperimentParams::quick();
-        assert_eq!(auto.engine, EngineKind::Dense);
-        assert!(auto.thread_count() >= 1, "auto thread count");
-
-        let bad = Args::parse(["--engine", "warp"]).unwrap();
-        assert!(ExperimentParams::from_args(&bad).is_err());
-        assert_eq!("dense".parse::<EngineKind>().unwrap(), EngineKind::Dense);
-        assert_eq!(EngineKind::Btree.to_string(), "btree");
+        // Every figure runs the dense engines; the engine is not an option.
+        let engine = Args::parse(["--engine", "dense"]).unwrap();
+        assert_eq!(
+            engine.reject_unknown(&[ExperimentParams::OPTIONS]),
+            Err("unknown option --engine".to_owned())
+        );
     }
 
     #[test]
@@ -512,8 +417,10 @@ mod tests {
         assert_eq!(ExperimentParams::paper().rng, RngMode::Shared);
 
         let clash = Args::parse(["--rng", "per-node", "--engine", "btree"]).unwrap();
-        let err = ExperimentParams::from_args(&clash).unwrap_err();
-        assert!(err.contains("dense"), "unexpected error text: {err}");
+        let err = clash
+            .reject_unknown(&[ExperimentParams::OPTIONS])
+            .unwrap_err();
+        assert_eq!(err, "unknown option --engine");
     }
 
     #[test]
@@ -558,40 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn membership_phase_is_engine_invariant() {
-        let dense_params = tiny();
-        let btree_params = ExperimentParams {
-            engine: EngineKind::Btree,
-            ..tiny()
-        };
-
-        let static_dense = static_overlay(&dense_params);
-        let static_btree = static_overlay(&btree_params);
-        assert_eq!(static_dense.snapshot(), static_btree.snapshot());
-
-        let static_dense_csr = static_dense_overlay(&dense_params);
-        let static_btree_csr = static_dense_overlay(&btree_params);
-        assert_eq!(
-            static_dense_csr.live_node_ids(),
-            static_btree_csr.live_node_ids()
-        );
-        for id in static_dense_csr.live_node_ids() {
-            assert_eq!(static_dense_csr.r_links(id), static_btree_csr.r_links(id));
-            assert_eq!(static_dense_csr.d_links(id), static_btree_csr.d_links(id));
-        }
-
-        let (overlay_dense, overlay_snap, cycles_dense) = churn_scenario(&dense_params);
-        let (overlay_btree, btree_snap, cycles_btree) = churn_scenario(&btree_params);
-        assert_eq!(cycles_dense, cycles_btree);
-        assert_eq!(overlay_snap.snapshot(), btree_snap.snapshot());
-        assert_eq!(overlay_dense.live_node_ids(), overlay_btree.live_node_ids());
-        for id in overlay_dense.live_node_ids() {
-            assert_eq!(overlay_dense.r_links(id), overlay_btree.r_links(id));
-            assert_eq!(overlay_dense.d_links(id), overlay_btree.d_links(id));
-        }
-    }
-
-    #[test]
     fn probed_scenario_builders_match_unprobed() {
         use hybridcast_obs::{TraceEvent, VecProbe};
 
@@ -599,7 +472,10 @@ mod tests {
         let mut probe = VecProbe::new();
         let mut profiler = StageProfiler::new();
         let probed = static_dense_overlay_probed(&params, &mut probe, &mut profiler);
-        let plain = static_dense_overlay(&params);
+        let plain = static_dense_overlay(&ExperimentParams {
+            threads: 4,
+            ..params.clone()
+        });
         assert_eq!(probed.live_node_ids(), plain.live_node_ids());
         for id in probed.live_node_ids() {
             assert_eq!(probed.r_links(id), plain.r_links(id));
@@ -619,7 +495,10 @@ mod tests {
         let mut churn_profiler = StageProfiler::new();
         let (churn_probed, cycles_probed) =
             churn_dense_overlay_probed(&params, &mut churn_probe, &mut churn_profiler);
-        let (churn_plain, _snapshot, cycles_plain) = churn_scenario(&params);
+        let (churn_plain, _snapshot, cycles_plain) = churn_scenario(&ExperimentParams {
+            threads: 4,
+            ..params.clone()
+        });
         assert_eq!(cycles_probed, cycles_plain);
         assert_eq!(churn_probed.live_node_ids(), churn_plain.live_node_ids());
         for id in churn_probed.live_node_ids() {

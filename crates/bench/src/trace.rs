@@ -214,7 +214,7 @@ pub fn summarize(sections: &[TraceSection]) -> EffectivenessTable {
 mod tests {
     use super::*;
     use crate::figures::static_effectiveness_probed;
-    use crate::scenario::{EngineKind, ExperimentParams};
+    use crate::scenario::ExperimentParams;
     use hybridcast_obs::{parse_jsonl, JsonlProbe, ProtocolKind, StageProfiler};
 
     fn tiny() -> ExperimentParams {
@@ -226,7 +226,6 @@ mod tests {
             seed: 7,
             churn_rate: 0.02,
             churn_max_cycles: 300,
-            engine: EngineKind::Dense,
             threads: 1,
             rng: hybridcast_sim::RngMode::Shared,
             quiet: true,

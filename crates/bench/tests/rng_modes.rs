@@ -13,7 +13,7 @@
 //! `crates/sim/tests/frontier.rs`; this file pins the behavioural half
 //! where the harness consumes the overlay.
 
-use hybridcast_bench::scenario::{static_dense_overlay, EngineKind, ExperimentParams};
+use hybridcast_bench::scenario::{static_dense_overlay, ExperimentParams};
 use hybridcast_core::overlay::Overlay;
 use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::run_seeded_disseminations;
@@ -28,7 +28,6 @@ fn params(rng: RngMode) -> ExperimentParams {
         seed: 11,
         churn_rate: 0.0,
         churn_max_cycles: 0,
-        engine: EngineKind::Dense,
         threads: 2,
         rng,
         quiet: true,

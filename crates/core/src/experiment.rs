@@ -191,28 +191,31 @@ pub fn run_seeded_disseminations(
     })
 }
 
-/// The sequential, probed twin of [`run_seeded_disseminations`]: same
-/// seeding contract (run `r` is a pure function of `(master_seed, r)`), so
-/// the reports are bit-identical to the parallel driver at any thread
-/// count — the probe merely observes every run, in run order, through one
-/// shared scratch.
+/// [`run_seeded_disseminations`] with a [`Probe`] attached. A disabled
+/// probe (such as [`hybridcast_obs::NullProbe`]) records nothing, so the
+/// call is the plain threaded driver; an enabled one runs the same seeded
+/// runs sequentially, in run order, so the probe sees one totally ordered
+/// event stream. The reports are bit-identical either way.
 pub fn run_seeded_disseminations_probed<P: Probe>(
     overlay: &DenseOverlay,
     selector: &DenseSelector,
     runs: usize,
     master_seed: u64,
+    threads: usize,
     probe: &mut P,
 ) -> Vec<DisseminationReport> {
-    let live = overlay.live_indices();
-    assert!(!live.is_empty(), "overlay has no live nodes");
-    let mut scratch = DenseScratch::new();
-    (0..runs)
-        .map(|run| {
-            let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-            let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
-            disseminate_dense_probed(overlay, selector, origin, &mut rng, &mut scratch, probe)
-        })
-        .collect()
+    if !probe.enabled() {
+        return run_seeded_disseminations(overlay, selector, runs, master_seed, threads);
+    }
+    run_seeded_in_order(
+        overlay,
+        runs,
+        master_seed,
+        DenseScratch::new(),
+        |origin, rng, scratch| {
+            disseminate_dense_probed(overlay, selector, origin, rng, scratch, probe)
+        },
+    )
 }
 
 /// Runs `runs` independent event-driven (latency-model) disseminations over
@@ -251,34 +254,30 @@ pub fn run_seeded_async(
     )
 }
 
-/// The sequential, probed twin of [`run_seeded_async`]: bit-identical
-/// reports, with every run's event stream observed in run order.
+/// [`run_seeded_async`] with a [`Probe`] attached: the plain threaded
+/// driver for a disabled probe, otherwise the same seeded runs in run
+/// order (see [`run_seeded_disseminations_probed`]).
 pub fn run_seeded_async_probed<P: Probe>(
     overlay: &DenseOverlay,
     selector: &DenseSelector,
     config: &AsyncConfig,
     runs: usize,
     master_seed: u64,
+    threads: usize,
     probe: &mut P,
 ) -> Vec<AsyncReport> {
-    let live = overlay.live_indices();
-    assert!(!live.is_empty(), "overlay has no live nodes");
-    let mut scratch = DenseAsyncScratch::new();
-    (0..runs)
-        .map(|run| {
-            let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-            let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
-            disseminate_async_dense_probed(
-                overlay,
-                selector,
-                origin,
-                config,
-                &mut rng,
-                &mut scratch,
-                probe,
-            )
-        })
-        .collect()
+    if !probe.enabled() {
+        return run_seeded_async(overlay, selector, config, runs, master_seed, threads);
+    }
+    run_seeded_in_order(
+        overlay,
+        runs,
+        master_seed,
+        DenseAsyncScratch::new(),
+        |origin, rng, scratch| {
+            disseminate_async_dense_probed(overlay, selector, origin, config, rng, scratch, probe)
+        },
+    )
 }
 
 /// Runs `runs` independent push + pull-anti-entropy disseminations over a
@@ -312,32 +311,52 @@ pub fn run_seeded_push_pulls(
     })
 }
 
-/// The sequential, probed twin of [`run_seeded_push_pulls`]: bit-identical
-/// reports, with every run's event stream observed in run order.
+/// [`run_seeded_push_pulls`] with a [`Probe`] attached: the plain threaded
+/// driver for a disabled probe, otherwise the same seeded runs in run
+/// order (see [`run_seeded_disseminations_probed`]).
 pub fn run_seeded_push_pulls_probed<P: Probe>(
     overlay: &DenseOverlay,
     selector: &DenseSelector,
     config: &PullConfig,
     runs: usize,
     master_seed: u64,
+    threads: usize,
     probe: &mut P,
 ) -> Vec<PushPullReport> {
+    if !probe.enabled() {
+        return run_seeded_push_pulls(overlay, selector, config, runs, master_seed, threads);
+    }
+    run_seeded_in_order(
+        overlay,
+        runs,
+        master_seed,
+        DensePullScratch::new(),
+        |origin, rng, scratch| {
+            disseminate_push_pull_dense_probed(
+                overlay, selector, origin, config, rng, scratch, probe,
+            )
+        },
+    )
+}
+
+/// The traced half of every `run_seeded_*_probed` driver: the seeding
+/// contract of the threaded drivers (run `r` draws its origin and streams
+/// from `ChaCha8(run_seed(master_seed, r))`), executed sequentially through
+/// one scratch so a probe observes the runs in run order.
+fn run_seeded_in_order<T, S>(
+    overlay: &DenseOverlay,
+    runs: usize,
+    master_seed: u64,
+    mut scratch: S,
+    mut one_run: impl FnMut(NodeId, &mut ChaCha8Rng, &mut S) -> T,
+) -> Vec<T> {
     let live = overlay.live_indices();
     assert!(!live.is_empty(), "overlay has no live nodes");
-    let mut scratch = DensePullScratch::new();
     (0..runs)
         .map(|run| {
             let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
             let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
-            disseminate_push_pull_dense_probed(
-                overlay,
-                selector,
-                origin,
-                config,
-                &mut rng,
-                &mut scratch,
-                probe,
-            )
+            one_run(origin, &mut rng, &mut scratch)
         })
         .collect()
 }

@@ -924,6 +924,29 @@ mod tests {
     }
 
     #[test]
+    fn ablation_view_lengths_are_bit_identical() {
+        // `ablation_view_length` sweeps cyc = vic over 5, 10, 20 and 40; 10
+        // and 40 lie outside both the property tests' range and the default.
+        for view in [10, 40] {
+            let cfg = SimConfig {
+                nodes: 60,
+                cyclon_view: view,
+                vicinity_view: view,
+                ..SimConfig::default()
+            };
+            let mut dense = DenseSimNetwork::new(cfg.clone(), 12);
+            let mut btree = Network::new(cfg, 12);
+            dense.run_cycles(40);
+            btree.run_cycles(40);
+            assert_eq!(
+                dense.overlay_snapshot(),
+                btree.overlay_snapshot(),
+                "cyc = vic = {view}"
+            );
+        }
+    }
+
+    #[test]
     fn randcast_only_mode_matches_without_vicinity() {
         let cfg = SimConfig {
             nodes: 30,
